@@ -22,6 +22,9 @@
 //! always runs, sequentially and with intra-join chunk workers: it
 //! asserts the sharding contract (bit-identical scores and counters) and
 //! emits `intra_join_speedup` plus the `hot_*` counters.
+//! A small-n Qs,f,m leg (the cyclic Table-1 query, the worst shape the
+//! engine has) emits the `sfm_*` counters, so the cover-window probes of
+//! its cycle-closing step are gated exactly.
 //!
 //! Refresh the baseline with:
 //! `cargo run --release -p tkij_bench --bin bench_smoke > BENCH_BASELINE.json`
@@ -58,6 +61,12 @@ const HOT_SIZE: usize = 4_000;
 const HOT_SPAN: i64 = 120_000;
 /// Chunk workers of the hot workload's parallel run.
 const HOT_INTRA_THREADS: usize = 4;
+
+/// Intervals per collection of the Qs,f,m leg, over [`SFM_SPAN`]: the
+/// density of the end-to-end benchmark's `sfm-dense` triplets at a
+/// fraction of their size.
+const SFM_SIZE: usize = 800;
+const SFM_SPAN: i64 = 20_000;
 
 /// One backend's measurement: the best-of reduce time plus the full
 /// (repetition-invariant) report every emitted counter derives from.
@@ -141,6 +150,23 @@ fn run_hot(intra_threads: usize) -> BackendRun {
     );
     let dataset = engine.prepare(collections).expect("prepare hot");
     measure(&engine, &dataset)
+}
+
+/// The cyclic Qs,f,m (P2) on the default engine: its last join step
+/// closes the cycle, so it probes the union of the anchor and check
+/// edges' cover windows.
+fn run_sfm() -> ExecutionReport {
+    let cfg = SyntheticConfig {
+        size: SFM_SIZE,
+        start_range: (0, SFM_SPAN),
+        length_range: (1, 100),
+        seed: SEED,
+    };
+    let collections: Vec<_> =
+        (0..3u32).map(|i| uniform_collection(CollectionId(i), &cfg)).collect();
+    let engine = Tkij::new(TkijConfig::default().with_granules(GRANULES).with_reducers(REDUCERS));
+    let dataset = engine.prepare(collections).expect("prepare sfm");
+    engine.execute(&dataset, &table1::q_sfm(PredicateParams::P2), K).expect("execute sfm")
 }
 
 /// Probe-level microbench: the same score-threshold window set against
@@ -360,6 +386,16 @@ fn main() {
     push("shuffle_spill_segments", spill_stats.spill_segments.to_string());
     push("shuffle_spill_bytes", spill_stats.spill_bytes.to_string());
     push("shuffle_checksum", spill_stats.checksum.to_string());
+
+    // Qs,f,m leg: one run is enough, every emitted value is a counter.
+    let sfm = run_sfm();
+    push("sfm_index_probes", sfm.index_probes().to_string());
+    push("sfm_items_scanned", sfm.items_scanned().to_string());
+    push(
+        "sfm_candidates_visited",
+        sfm.local_stats.iter().map(|s| s.candidates_visited).sum::<u64>().to_string(),
+    );
+    push("sfm_tuples_scored", sfm.tuples_scored().to_string());
 
     let names: Vec<&str> = backends.iter().map(|b| b.name()).collect();
     println!("{{");

@@ -14,7 +14,9 @@
 //!   and the already-fixed edge scores (the paper's "returns only
 //!   intervals x_j s.t. s-p(x_i, x_j) ≥ v");
 //! * cycle edges are checked exactly, and partial tuples whose optimistic
-//!   completion cannot reach `τ` are pruned.
+//!   completion cannot reach `τ` are pruned;
+//! * a step that closes cycles probes **cover windows** (below) instead of
+//!   the anchor edge's window alone.
 //!
 //! The candidate index is pluggable ([`LocalJoinBackend`]): the join is
 //! generic over [`CandidateSource`], so the paper's R-tree and the
@@ -25,6 +27,55 @@
 //! could enter the final top-k (including ties resolved by the
 //! deterministic id order) is still generated — local results equal the
 //! naive oracle's exactly, which the tests verify.
+//!
+//! # Cover windows
+//!
+//! The anchor edge's own threshold assumes every other free edge scores
+//! 1.0 — including the cycle edges the same step checks right after the
+//! probe. On a cyclic query (Qs,f,m) that threshold is usually `≤ 0`, so
+//! the probe would scan the whole bucket and most candidates would then
+//! fail the check edge. Instead, each step bounds all the edges it binds
+//! at once — its anchor edge and its check edges, the *covered* set `S`
+//! — jointly ([`Aggregation::cover_thresholds`]):
+//!
+//! * **sums** (normalized or weighted): a candidate can still beat `τ`
+//!   only if the covered edges contribute `Σ_{i∈S} wᵢsᵢ ≥ R = τ·Σw − Σ
+//!   fixed − Σ free` (free edges at 1.0). The largest of the `m`
+//!   positive-weight terms is at least their mean, so some covered edge
+//!   reaches `sᵢ ≥ R / (m·wᵢ)`. The step probes the **union** of those
+//!   per-edge windows, each intersected with the anchor's own window;
+//! * **min**: every covered edge must reach `τ`, so the step probes the
+//!   one **intersected** box.
+//!
+//! Each check edge's window comes from the same `threshold_window`
+//! translation as the anchor's, anchored on the check edge's
+//! already-bound endpoint; all of them constrain the same free interval's
+//! endpoints, so they are boxes in one endpoint plane. An item an earlier
+//! window of the step already admitted is skipped
+//! ([`Window::contains`]), so nothing is materialized twice. A step
+//! without check edges, or a cover that requires nothing (`R ≤ 0`, e.g. a
+//! heap that is not yet full), is the one-window case of the same loop,
+//! with exactly the anchor window it always had.
+//!
+//! *Soundness.* A candidate left out of every window scores below its
+//! threshold on every covered edge, so with the fixed scores and free
+//! edges at 1.0 its optimistic total is below the `τ` of the probe — and
+//! `τ` only grows. The check-edge test after the probe would therefore
+//! have pruned it without recursing, and dropping it earlier changes
+//! neither the offers nor the order of the surviving candidates (the sort
+//! is a total order, the break rule depends only on the candidate's own
+//! anchor score). Results, `tuples_scored`, `index_probes` (one per step
+//! probe, however many windows) and `kth_score` are bit-identical to the
+//! single-window probe; only `items_scanned` and `candidates_visited`
+//! fall. The thresholds carry a small rounding margin
+//! ([`tkij_temporal::aggregate::COVER_MARGIN`]) so float rounding cannot
+//! exclude a qualifying candidate; `aggregate.rs` property-tests this.
+//!
+//! The probe path allocates nothing per probe: windows, thresholds,
+//! score vectors and one candidate buffer per plan depth live in reused
+//! scratch, and candidates are sorted in place.
+//!
+//! [`Aggregation::cover_thresholds`]: tkij_temporal::aggregate::Aggregation::cover_thresholds
 //!
 //! # Intra-reducer parallelism: sharding the probe stream
 //!
@@ -55,7 +106,8 @@ use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use tkij_index::{threshold_candidates, CandidateSource, RTree, SweepIndex, Window};
+use tkij_index::{CandidateSource, RTree, SweepIndex, Window};
+use tkij_temporal::aggregate::Cover;
 use tkij_temporal::bucket::BucketId;
 use tkij_temporal::expr::Side;
 use tkij_temporal::interval::Interval;
@@ -711,13 +763,19 @@ fn join_generic<C: CandidateSource + ChosenBackend>(
     let run = ComboRun {
         query,
         plan,
+        covered: plan
+            .steps
+            .iter()
+            .map(|step| step.anchor.map(|a| a.edge).into_iter().chain(step.checks.iter().copied()))
+            .map(Iterator::collect)
+            .collect(),
         indexes: &indexes,
         filter,
         intra,
         k,
         bound: AtomicU64::new(0f64.to_bits()),
     };
-    let mut scratch = Scratch::for_query(query);
+    let mut scratch = Scratch::for_query(query, plan);
     for &ci in &order {
         let ci = ci as usize;
         // Once the heap is full, a combination whose UB only *ties* the
@@ -740,6 +798,9 @@ fn join_generic<C: CandidateSource + ChosenBackend>(
 struct ComboRun<'a, C> {
     query: &'a Query,
     plan: &'a JoinPlan,
+    /// The edges each plan step binds at once: its anchor edge first,
+    /// then its check edges (empty for the anchorless first step).
+    covered: Vec<Vec<usize>>,
     indexes: &'a BTreeMap<(u16, BucketId), C>,
     filter: Option<&'a dyn TupleFilter>,
     intra: IntraJoin,
@@ -783,16 +844,7 @@ impl<C: CandidateSource> ComboRun<'_, C> {
                 // still filling there is no meaningful bound to shard
                 // under, and a lone trailing chunk gains nothing from a
                 // wave. Both conditions depend only on data and config.
-                let mut cx = JoinCx {
-                    query: self.query,
-                    plan: self.plan,
-                    indexes: self.indexes,
-                    heap: &mut *topk,
-                    stats,
-                    tuple: &mut scratch.tuple,
-                    fixed: &mut scratch.fixed,
-                    filter: self.filter,
-                };
+                let mut cx = JoinCx { run: self, heap: &mut *topk, stats, scratch };
                 cx.run_chunk(
                     chunk_iter.next().expect("nchunks counts the chunks"),
                     buckets,
@@ -849,16 +901,12 @@ impl<C: CandidateSource> ComboRun<'_, C> {
             let mut chunk_stats = LocalJoinStats::default();
             // Wave chunks genuinely need private scratch: they may run
             // concurrently with each other.
-            let mut scratch = Scratch::for_query(self.query);
+            let mut scratch = Scratch::for_query(self.query, self.plan);
             let mut cx = JoinCx {
-                query: self.query,
-                plan: self.plan,
-                indexes: self.indexes,
+                run: self,
                 heap: &mut heap,
                 stats: &mut chunk_stats,
-                tuple: &mut scratch.tuple,
-                fixed: &mut scratch.fixed,
-                filter: self.filter,
+                scratch: &mut scratch,
             };
             cx.run_chunk(chunk, buckets, combo_ub);
             (heap.local, chunk_stats)
@@ -900,92 +948,110 @@ impl<C: CandidateSource> ComboRun<'_, C> {
     }
 }
 
-/// Reusable recursion scratch (partial tuple + fixed edge scores): the
-/// recursion restores both on exit, so one allocation serves every
-/// inline chunk of a reducer; wave chunks carry their own.
+/// Reusable recursion scratch. The recursion restores the partial
+/// tuple and the fixed scores on exit, and every other buffer is cleared
+/// before use, so one set serves every inline chunk of a reducer (wave
+/// chunks carry their own) and the probe path allocates nothing once the
+/// buffers have grown to their working size.
 struct Scratch {
+    /// Partial tuple, indexed by vertex.
     tuple: Vec<Option<Interval>>,
+    /// Fixed (edge, score) pairs along the current path.
     fixed: Vec<(usize, f64)>,
+    /// Per-edge score vector handed to the aggregation.
+    scores: Vec<f64>,
+    /// Cover thresholds of the step being probed.
+    thresholds: Vec<f64>,
+    /// Probe windows of the step being probed.
+    windows: Vec<Window>,
+    /// One candidate buffer per plan step: a step's candidates stay live
+    /// while the deeper steps they seed run.
+    candidates: Vec<Vec<(f64, Interval)>>,
 }
 
 impl Scratch {
-    fn for_query(query: &Query) -> Self {
-        Scratch { tuple: vec![None; query.n()], fixed: Vec::with_capacity(query.edges.len()) }
+    fn for_query(query: &Query, plan: &JoinPlan) -> Self {
+        let edges = query.edges.len();
+        Scratch {
+            tuple: vec![None; query.n()],
+            fixed: Vec::with_capacity(edges),
+            scores: vec![0.0; edges],
+            thresholds: Vec::with_capacity(edges),
+            windows: Vec::with_capacity(edges),
+            candidates: vec![Vec::new(); plan.steps.len()],
+        }
     }
 }
 
 /// Mutable evaluation context threaded through the recursion, generic
 /// over the heap it prunes against ([`ProbeHeap`]).
 struct JoinCx<'a, C, H> {
-    query: &'a Query,
-    plan: &'a JoinPlan,
-    indexes: &'a BTreeMap<(u16, BucketId), C>,
+    run: &'a ComboRun<'a, C>,
     heap: &'a mut H,
     stats: &'a mut LocalJoinStats,
-    /// Partial tuple, indexed by vertex (borrowed [`Scratch`]).
-    tuple: &'a mut Vec<Option<Interval>>,
-    /// Fixed (edge, score) pairs along the current path.
-    fixed: &'a mut Vec<(usize, f64)>,
-    /// Optional attribute filter (hybrid queries).
-    filter: Option<&'a dyn TupleFilter>,
+    scratch: &'a mut Scratch,
 }
 
 impl<C: CandidateSource, H: ProbeHeap> JoinCx<'_, C, H> {
     /// Evaluates one probe chunk: each item seeds the first plan step.
     fn run_chunk(&mut self, chunk: &[Interval], buckets: &[BucketId], combo_ub: f64) {
-        let first_vertex = self.plan.steps[0].vertex;
+        let first_vertex = self.run.plan.steps[0].vertex;
         for x in chunk {
             if self.heap.is_full() && combo_ub <= self.heap.admission_score() {
                 break; // the whole combination became dominated mid-way
             }
-            self.tuple[first_vertex] = Some(*x);
-            if self.filter.is_none_or(|f| f.admits(self.tuple)) {
+            self.scratch.tuple[first_vertex] = Some(*x);
+            if self.run.filter.is_none_or(|f| f.admits(&self.scratch.tuple)) {
                 self.extend(1, buckets);
             }
-            self.tuple[first_vertex] = None;
+            self.scratch.tuple[first_vertex] = None;
         }
     }
 
     /// Grows the tuple at plan step `s`.
     fn extend(&mut self, s: usize, buckets: &[BucketId]) {
-        if s == self.plan.steps.len() {
+        let run = self.run;
+        if s == run.plan.steps.len() {
             self.finish();
             return;
         }
-        let step = &self.plan.steps[s];
+        let step = &run.plan.steps[s];
         let anchor = step.anchor.expect("non-first steps have anchors");
-        let edge = &self.query.edges[anchor.edge];
-        let anchor_iv = self.tuple[anchor.bound_vertex].expect("anchor bound");
+        let edge = &run.query.edges[anchor.edge];
+        let anchor_iv = self.scratch.tuple[anchor.bound_vertex].expect("anchor bound");
+        let num_edges = run.query.edges.len();
         let tau = self.heap.admission_score();
         // With a full heap, only strictly-better totals matter (ties
         // cannot change the score multiset).
         let strict = self.heap.is_full();
-        let needed = self.query.aggregation.required_edge_score(
-            self.fixed,
+        let needed = run.query.aggregation.required_edge_score(
+            &self.scratch.fixed,
             anchor.edge,
-            self.query.edges.len(),
+            num_edges,
             tau,
         );
         if needed > 1.0 || (strict && needed >= 1.0) {
             return; // even a perfect edge score cannot beat τ
         }
-        let Some(index) = self.indexes.get(&(step.vertex as u16, buckets[step.vertex])) else {
+        let Some(index) = run.indexes.get(&(step.vertex as u16, buckets[step.vertex])) else {
             return;
         };
+        self.cover_windows(s, needed, tau);
         // Materialize candidates with their exact anchor-edge scores (the
         // recursion needs `&mut self`), then visit them in descending
         // score order — rank-join style. High scorers raise the admission
         // threshold τ early, and because the stream is sorted, the first
         // candidate falling below the (re-evaluated) requirement ends the
         // whole loop instead of being skipped.
-        let mut candidates: Vec<(f64, Interval)> = Vec::new();
-        let scanned = threshold_candidates(
-            index,
-            &edge.predicate,
-            &anchor_iv,
-            anchor.anchor_side,
-            needed.max(0.0),
-            |c| {
+        let mut candidates = std::mem::take(&mut self.scratch.candidates[s]);
+        let windows = &self.scratch.windows;
+        let mut scanned = 0;
+        for (w, window) in windows.iter().enumerate() {
+            let earlier = &windows[..w];
+            scanned += index.probe(window, &mut |c| {
+                if earlier.iter().any(|e| e.contains(c)) {
+                    return; // an earlier window of this step admitted it
+                }
                 let s = match anchor.anchor_side {
                     Side::Left => edge.predicate.score(&anchor_iv, c),
                     Side::Right => edge.predicate.score(c, &anchor_iv),
@@ -993,44 +1059,45 @@ impl<C: CandidateSource, H: ProbeHeap> JoinCx<'_, C, H> {
                 if s >= needed {
                     candidates.push((s, *c));
                 }
-            },
-        );
+            });
+        }
         self.stats.index_probes += 1;
         self.stats.items_scanned += scanned;
         self.stats.candidates_visited += candidates.len() as u64;
-        candidates.sort_by(|a, b| {
+        // A total order (an interval's score is a function of the
+        // interval), so the unstable, allocation-free sort is exact.
+        candidates.sort_unstable_by(|a, b| {
             b.0.total_cmp(&a.0)
                 .then_with(|| (a.1.start, a.1.end, a.1.id).cmp(&(b.1.start, b.1.end, b.1.id)))
         });
 
-        for (s_anchor, cand) in candidates {
+        for &(s_anchor, cand) in &candidates {
             // Recompute the requirement against the *current* τ: it only
             // grows, and the stream is sorted descending, so a failure
             // here dominates every remaining candidate.
             let strict = self.heap.is_full();
-            let needed_now = self.query.aggregation.required_edge_score(
-                self.fixed,
+            let needed_now = run.query.aggregation.required_edge_score(
+                &self.scratch.fixed,
                 anchor.edge,
-                self.query.edges.len(),
+                num_edges,
                 self.heap.admission_score(),
             );
             if s_anchor < needed_now || (strict && s_anchor <= needed_now) {
                 break;
             }
-            self.fixed.push((anchor.edge, s_anchor));
-            self.tuple[step.vertex] = Some(cand);
+            self.scratch.fixed.push((anchor.edge, s_anchor));
+            self.scratch.tuple[step.vertex] = Some(cand);
             // Cycle edges between the new vertex and bound ones.
-            let mut ok = self.filter.is_none_or(|f| f.admits(self.tuple));
+            let mut ok = run.filter.is_none_or(|f| f.admits(&self.scratch.tuple));
             let mut pushed = 1;
             for &ce in &step.checks {
                 if !ok {
                     break;
                 }
-                let e = &self.query.edges[ce];
-                let x = self.tuple[e.src].expect("check edges have both ends bound");
-                let y = self.tuple[e.dst].expect("check edges have both ends bound");
-                let sc = e.predicate.score(&x, &y);
-                self.fixed.push((ce, sc));
+                let e = &run.query.edges[ce];
+                let x = self.scratch.tuple[e.src].expect("check edges have both ends bound");
+                let y = self.scratch.tuple[e.dst].expect("check edges have both ends bound");
+                self.scratch.fixed.push((ce, e.predicate.score(&x, &y)));
                 pushed += 1;
                 let optimistic = self.optimistic_total();
                 let tau_now = self.heap.admission_score();
@@ -1043,32 +1110,85 @@ impl<C: CandidateSource, H: ProbeHeap> JoinCx<'_, C, H> {
                 self.extend(s + 1, buckets);
             }
             for _ in 0..pushed {
-                self.fixed.pop();
+                self.scratch.fixed.pop();
             }
-            self.tuple[step.vertex] = None;
+            self.scratch.tuple[step.vertex] = None;
+        }
+        candidates.clear();
+        self.scratch.candidates[s] = candidates;
+    }
+
+    /// Fills the scratch window list with step `s`'s probe windows: the
+    /// windows of its cover (module docs, "Cover windows"), each
+    /// anchored on the already-bound end of its edge.
+    fn cover_windows(&mut self, s: usize, needed: f64, tau: f64) {
+        let run = self.run;
+        let free_vertex = run.plan.steps[s].vertex;
+        let covered = &run.covered[s];
+        let Scratch { tuple, fixed, thresholds, windows, .. } = &mut *self.scratch;
+        let cover = run.query.aggregation.cover_thresholds(
+            fixed,
+            covered,
+            run.query.edges.len(),
+            tau,
+            thresholds,
+        );
+        // Edge `e`'s window for `s-p ≥ v`, anchored on its bound end.
+        let window = |e: usize, v: f64| -> Window {
+            let edge = &run.query.edges[e];
+            let (bound, side) = if edge.dst == free_vertex {
+                (edge.src, Side::Left)
+            } else {
+                (edge.dst, Side::Right)
+            };
+            let iv = tuple[bound].expect("covered edges have their other end bound");
+            edge.predicate.threshold_window(&iv, side, v).into()
+        };
+        windows.clear();
+        match cover {
+            Cover::Vacuous => windows.push(Window::all()),
+            // One box: every covered edge's window, intersected.
+            Cover::All => windows.push(
+                covered
+                    .iter()
+                    .zip(thresholds.iter())
+                    .fold(Window::all(), |w, (&e, &t)| w.intersect(&window(e, t))),
+            ),
+            // The union of the per-edge windows, each inside the anchor
+            // edge's own window for `needed` (unbounded when `needed ≤ 0`).
+            Cover::Any => {
+                let floor = window(covered[0], needed);
+                for (&e, &t) in covered.iter().zip(thresholds.iter()) {
+                    if t <= 1.0 {
+                        windows.push(floor.intersect(&window(e, t)));
+                    }
+                }
+            }
         }
     }
 
     /// Best achievable total given the fixed edges (free edges at 1.0).
-    fn optimistic_total(&self) -> f64 {
-        let mut scores = vec![1.0; self.query.edges.len()];
-        for &(e, s) in self.fixed.iter() {
+    fn optimistic_total(&mut self) -> f64 {
+        let Scratch { fixed, scores, .. } = &mut *self.scratch;
+        scores.fill(1.0);
+        for &(e, s) in fixed.iter() {
             scores[e] = s;
         }
-        self.query.aggregation.eval(&scores)
+        self.run.query.aggregation.eval(scores)
     }
 
     /// Scores and offers a complete tuple.
     fn finish(&mut self) {
-        let tuple: Vec<Interval> = self.tuple.iter().map(|t| t.expect("complete tuple")).collect();
-        debug_assert_eq!(self.fixed.len(), self.query.edges.len());
-        let mut scores = vec![0.0; self.query.edges.len()];
-        for &(e, s) in self.fixed.iter() {
+        let Scratch { tuple, fixed, scores, .. } = &mut *self.scratch;
+        debug_assert_eq!(fixed.len(), scores.len());
+        scores.fill(0.0);
+        for &(e, s) in fixed.iter() {
             scores[e] = s;
         }
-        let total = self.query.aggregation.eval(&scores);
+        let total = self.run.query.aggregation.eval(scores);
         self.stats.tuples_scored += 1;
-        self.heap.offer(MatchTuple::new(tuple.iter().map(|iv| iv.id).collect(), total));
+        let ids = tuple.iter().map(|t| t.expect("complete tuple").id).collect();
+        self.heap.offer(MatchTuple::new(ids, total));
     }
 }
 

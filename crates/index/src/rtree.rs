@@ -80,6 +80,15 @@ impl Window {
         s >= self.start.0 && s <= self.start.1 && e >= self.end.0 && e <= self.end.1
     }
 
+    /// The window admitting exactly the points both windows admit.
+    #[inline]
+    pub fn intersect(&self, other: &Window) -> Window {
+        Window {
+            start: (self.start.0.max(other.start.0), self.start.1.min(other.start.1)),
+            end: (self.end.0.max(other.end.0), self.end.1.min(other.end.1)),
+        }
+    }
+
     /// Whether the window is trivially empty.
     pub fn is_empty(&self) -> bool {
         self.start.0 > self.start.1 || self.end.0 > self.end.1
@@ -194,36 +203,43 @@ impl RTree {
             return 0;
         }
         let Some(root) = self.root else { return 0 };
-        let mut examined = 0u64;
-        let mut stack = vec![root];
-        while let Some(ni) = stack.pop() {
-            let node = &self.nodes[ni as usize];
-            if !node.rect.intersects_window(window) {
-                continue;
-            }
-            match &node.kind {
-                NodeKind::Leaf { lo, hi } => {
-                    let slice = &self.items[*lo as usize..*hi as usize];
-                    examined += slice.len() as u64;
-                    if node.rect.inside_window(window) {
-                        // Whole leaf covered: no per-item test needed.
-                        for iv in slice {
+        self.query_node(root, window, &mut visit)
+    }
+
+    /// Depth-first window query below node `ni`, children in order. The
+    /// recursion is as deep as the tree is high, so a probe needs no
+    /// heap-allocated traversal stack.
+    fn query_node<'t>(
+        &'t self,
+        ni: u32,
+        window: &Window,
+        visit: &mut impl FnMut(&'t Interval),
+    ) -> u64 {
+        let node = &self.nodes[ni as usize];
+        if !node.rect.intersects_window(window) {
+            return 0;
+        }
+        match &node.kind {
+            NodeKind::Leaf { lo, hi } => {
+                let slice = &self.items[*lo as usize..*hi as usize];
+                if node.rect.inside_window(window) {
+                    // Whole leaf covered: no per-item test needed.
+                    for iv in slice {
+                        visit(iv);
+                    }
+                } else {
+                    for iv in slice {
+                        if window.contains(iv) {
                             visit(iv);
-                        }
-                    } else {
-                        for iv in slice {
-                            if window.contains(iv) {
-                                visit(iv);
-                            }
                         }
                     }
                 }
-                NodeKind::Internal { children } => {
-                    stack.extend(children.iter().rev().copied());
-                }
+                slice.len() as u64
+            }
+            NodeKind::Internal { children } => {
+                children.iter().map(|&c| self.query_node(c, window, visit)).sum()
             }
         }
-        examined
     }
 
     /// Collects matching intervals (window query convenience).

@@ -7,6 +7,10 @@ use std::fmt;
 pub enum TemporalError {
     /// An interval with `end < start` (intervals are closed and ordered).
     InvalidInterval { id: u64, start: i64, end: i64 },
+    /// An interval with an endpoint outside the timestamp domain
+    /// `[-MAX_ABS_TIMESTAMP, MAX_ABS_TIMESTAMP]`
+    /// ([`crate::interval::MAX_ABS_TIMESTAMP`]).
+    TimestampOutOfRange { id: u64, start: i64, end: i64 },
     /// An operation that requires a non-empty collection received an empty one.
     EmptyCollection,
     /// A structurally invalid RTJ query (disconnected, anti-parallel edge, …).
@@ -23,6 +27,11 @@ impl fmt::Display for TemporalError {
             TemporalError::InvalidInterval { id, start, end } => {
                 write!(f, "interval {id} has end {end} < start {start}")
             }
+            TemporalError::TimestampOutOfRange { id, start, end } => write!(
+                f,
+                "interval {id} [{start}, {end}] leaves the timestamp domain ±{}",
+                crate::interval::MAX_ABS_TIMESTAMP
+            ),
             TemporalError::EmptyCollection => write!(f, "collection is empty"),
             TemporalError::InvalidQuery(msg) => write!(f, "invalid RTJ query: {msg}"),
             TemporalError::Parse { line, message } => {

@@ -8,6 +8,16 @@ use std::fmt;
 /// micro-benchmark toy ranges.
 pub type Timestamp = i64;
 
+/// Largest endpoint magnitude [`Interval::new`] accepts: `2^52`, so the
+/// timestamp domain is `[-2^52, 2^52]` (epoch microseconds reach past
+/// the year 2100 inside it). Within it every value the engine derives
+/// from endpoints is exact: a length is at most `2^53`, so endpoints and
+/// lengths convert to the index windows' `f64` coordinates without
+/// rounding, and every built-in difference expression — `sparks`'
+/// `ȳ − y̲ − 10·(x̄ − x̲)` is the widest, below `11·2^53` — stays far
+/// inside `i64`.
+pub const MAX_ABS_TIMESTAMP: Timestamp = 1 << 52;
+
 /// A closed interval `[start, end]` with a collection-unique identifier.
 ///
 /// The paper writes the endpoints of `x` as underlined/overlined `x`; here
@@ -24,21 +34,29 @@ pub struct Interval {
 }
 
 impl Interval {
-    /// Creates an interval, enforcing `end >= start`.
+    /// Creates an interval, enforcing `end >= start` and that both
+    /// endpoints lie in the timestamp domain (see [`MAX_ABS_TIMESTAMP`]).
     pub fn new(id: u64, start: Timestamp, end: Timestamp) -> Result<Self, TemporalError> {
         if end < start {
             return Err(TemporalError::InvalidInterval { id, start, end });
         }
+        if start < -MAX_ABS_TIMESTAMP || end > MAX_ABS_TIMESTAMP {
+            return Err(TemporalError::TimestampOutOfRange { id, start, end });
+        }
         Ok(Interval { id, start, end })
     }
 
-    /// Creates an interval without the ordering check.
+    /// Creates an interval without the ordering and domain checks.
     ///
-    /// Reserved for generators that construct endpoints already ordered;
-    /// debug builds still assert the invariant.
+    /// Reserved for generators that construct endpoints already ordered
+    /// and in range; debug builds still assert both invariants.
     #[inline]
     pub fn new_unchecked(id: u64, start: Timestamp, end: Timestamp) -> Self {
         debug_assert!(end >= start, "interval {id}: end {end} < start {start}");
+        debug_assert!(
+            -MAX_ABS_TIMESTAMP <= start && end <= MAX_ABS_TIMESTAMP,
+            "interval {id}: [{start}, {end}] outside the timestamp domain"
+        );
         Interval { id, start, end }
     }
 
@@ -104,6 +122,22 @@ mod tests {
         assert!(Interval::new(1, 5, 4).is_err());
         let i = Interval::new(2, 10, 20).unwrap();
         assert_eq!(i.length(), 10);
+    }
+
+    #[test]
+    fn new_enforces_the_timestamp_domain() {
+        let m = MAX_ABS_TIMESTAMP;
+        assert!(Interval::new(0, -m, m).is_ok(), "the domain is closed");
+        for (start, end) in [(i64::MIN, i64::MAX), (0, m + 1), (-m - 1, 0), (0, i64::MAX)] {
+            assert_eq!(
+                Interval::new(3, start, end),
+                Err(TemporalError::TimestampOutOfRange { id: 3, start, end })
+            );
+        }
+        assert!(Interval::parse_line("1,0,9223372036854775807", 1).is_err());
+        let widest = Interval::new(0, -m, m).unwrap();
+        assert_eq!(widest.length(), 2 * m);
+        assert_eq!(widest.length() as f64 as i64, widest.length(), "lengths are exact f64s");
     }
 
     #[test]

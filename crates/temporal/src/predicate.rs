@@ -106,10 +106,33 @@ impl Primitive {
             Side::Left => Side::Right,
             Side::Right => Side::Left,
         };
-        let diff = self.difference();
-        let (endpoint, coeff) = diff.single_free_endpoint(free_side)?;
-        // d = coeff·f + K, where K gathers the anchored terms + constant.
-        let k = diff.eval_side(anchor_side, anchor, true);
+        // d = lhs − rhs = c_start·f̲ + c_end·f̄ + K, where K gathers the
+        // anchored terms and the constants. Read straight off the two
+        // term lists (like terms summed), so the probe path builds no
+        // difference expression.
+        let (mut c_start, mut c_end) = (0i64, 0i64);
+        let mut k = self.lhs.constant - self.rhs.constant;
+        let signed = self.lhs.terms.iter().map(|t| (t.coeff, t));
+        for (coeff, t) in signed.chain(self.rhs.terms.iter().map(|t| (-t.coeff, t))) {
+            if t.side == free_side {
+                match t.endpoint {
+                    Endpoint::Start => c_start += coeff,
+                    Endpoint::End => c_end += coeff,
+                }
+            } else {
+                k += coeff
+                    * match t.endpoint {
+                        Endpoint::Start => anchor.start,
+                        Endpoint::End => anchor.end,
+                    };
+            }
+        }
+        // Exactly one free endpoint, with unit coefficient.
+        let (endpoint, coeff) = match (c_start, c_end) {
+            (c @ (1 | -1), 0) => (Endpoint::Start, c),
+            (0, c @ (1 | -1)) => (Endpoint::End, c),
+            _ => return None,
+        };
         let region = match self.kind {
             PrimitiveKind::Equals => self.tol.equals_region(v),
             PrimitiveKind::Greater => self.tol.greater_region(v),
@@ -1050,6 +1073,89 @@ mod tests {
             prop_assert!((0.0..=1.0).contains(&s));
             let (lo, hi) = pred.score_range(&EndpointBox::point(&x), &EndpointBox::point(&y));
             prop_assert!(lo - 1e-12 <= s && s <= hi + 1e-12);
+        }
+
+        /// The allocation-free free-axis derivation equals the one through
+        /// the merged difference expression, for every primitive of every
+        /// predicate kind and both anchor sides.
+        #[test]
+        fn free_axis_window_matches_the_difference_form(
+            kind_idx in 0usize..16,
+            s in -500i64..500, w in 0i64..300,
+            avg in 0i64..50,
+            v in 0.0f64..=1.0,
+        ) {
+            let kind = PredicateKind::all()[kind_idx];
+            let pred = TemporalPredicate::from_kind(kind, PredicateParams::P3, avg);
+            let anchor = iv(0, s, s + w);
+            for side in [Side::Left, Side::Right] {
+                let free = if side == Side::Left { Side::Right } else { Side::Left };
+                for prim in &pred.primitives {
+                    let diff = prim.difference();
+                    let expected = diff.single_free_endpoint(free).map(|(endpoint, coeff)| {
+                        let k = diff.eval_side(side, &anchor, true) as f64;
+                        let region = match prim.kind {
+                            PrimitiveKind::Equals => prim.tol.equals_region(v),
+                            PrimitiveKind::Greater => prim.tol.greater_region(v),
+                        };
+                        let dlo = region.lo.unwrap_or(f64::NEG_INFINITY);
+                        let dhi = region.hi.unwrap_or(f64::INFINITY);
+                        if coeff > 0 {
+                            (endpoint, dlo - k, dhi - k)
+                        } else {
+                            (endpoint, -(dhi - k), -(dlo - k))
+                        }
+                    });
+                    prop_assert_eq!(prim.free_axis_window(&anchor, side, v), expected);
+                }
+            }
+        }
+
+        /// No panic at the ends of `i64`: construction rejects what lies
+        /// outside the timestamp domain, and on every interval it accepts,
+        /// lengths, scores, Boolean forms, score ranges and threshold
+        /// windows of every predicate kind evaluate without overflow
+        /// (debug builds trap on overflow, so this runs the checks).
+        #[test]
+        fn extreme_timestamps_never_panic(
+            picks in proptest::collection::vec(0usize..52, 4),
+            raw in proptest::collection::vec(i64::MIN..=i64::MAX, 4),
+            kind_idx in 0usize..16,
+            v in 0.0f64..=1.0,
+        ) {
+            let m = crate::interval::MAX_ABS_TIMESTAMP;
+            let edges = [
+                i64::MIN, i64::MIN + 1, -m - 1, -m, -m + 1, -1, 0, 1, m - 1, m, m + 1,
+                i64::MAX - 1, i64::MAX,
+            ];
+            // Each endpoint is an edge value, uniform over i64, or uniform
+            // over the domain; pairs are ordered so most reach the checks.
+            let at = |i: usize| match picks[i] / 13 {
+                0 => edges[picks[i]],
+                1 => raw[i],
+                _ => raw[i].rem_euclid(2 * m + 1) - m,
+            };
+            let pair = |i: usize| (at(i).min(at(i + 1)), at(i).max(at(i + 1)));
+            let ((xs, xe), (ys, ye)) = (pair(0), pair(2));
+            let (Ok(x), Ok(y)) = (Interval::new(0, xs, xe), Interval::new(1, ys, ye)) else {
+                return;
+            };
+            prop_assert!(x.length() >= 0 && y.length() >= 0);
+            let kind = PredicateKind::all()[kind_idx];
+            for params in [PredicateParams::P1, PredicateParams::P3, PredicateParams::PB] {
+                // `avg` is an average length of in-domain data.
+                for avg in [0, x.length() / 2, 2 * m] {
+                    let pred = TemporalPredicate::from_kind(kind, params, avg);
+                    let score = pred.score(&x, &y);
+                    prop_assert!((0.0..=1.0).contains(&score));
+                    let _ = pred.holds(&x, &y);
+                    let (lo, hi) =
+                        pred.score_range(&EndpointBox::point(&x), &EndpointBox::point(&y));
+                    prop_assert!(lo <= hi);
+                    let _ = pred.threshold_window(&x, Side::Left, v);
+                    let _ = pred.threshold_window(&y, Side::Right, v);
+                }
+            }
         }
 
         /// Any interval scoring ≥ v is admitted by the threshold window.

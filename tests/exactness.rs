@@ -3,17 +3,35 @@
 //! exhaustive oracle's for every query shape, parameterization,
 //! granularity, k and data distribution we can afford to enumerate.
 
+use tkij::datagen::synthetic::{uniform_collection, SyntheticConfig};
 use tkij::prelude::*;
 
 /// Runs TKIJ and the oracle and compares score sequences; also validates
 /// every returned tuple by re-scoring it against the actual intervals.
 fn assert_exact(engine: &Tkij, dataset: &PreparedDataset, query: &Query, k: usize, label: &str) {
-    let report = engine.execute(dataset, query, k).expect(label);
+    assert_matches(engine, dataset, query, k, &oracle(dataset, query, k), label);
+}
+
+/// The exhaustive top-k of `query` over the dataset's collections.
+fn oracle(dataset: &PreparedDataset, query: &Query, k: usize) -> Vec<MatchTuple> {
     let refs: Vec<&IntervalCollection> =
         query.vertices.iter().map(|c| &dataset.collections[c.0 as usize]).collect();
-    let expected = naive_topk(query, &refs, k);
+    naive_topk(query, &refs, k)
+}
+
+/// [`assert_exact`] against a precomputed oracle result; returns the
+/// engine's report.
+fn assert_matches(
+    engine: &Tkij,
+    dataset: &PreparedDataset,
+    query: &Query,
+    k: usize,
+    expected: &[MatchTuple],
+    label: &str,
+) -> ExecutionReport {
+    let report = engine.execute(dataset, query, k).expect(label);
     assert_eq!(report.results.len(), expected.len(), "{label}: cardinality");
-    for (i, (got, want)) in report.results.iter().zip(&expected).enumerate() {
+    for (i, (got, want)) in report.results.iter().zip(expected).enumerate() {
         assert!(
             (got.score - want.score).abs() < 1e-9,
             "{label}: rank {i}: {} vs {}",
@@ -37,6 +55,7 @@ fn assert_exact(engine: &Tkij, dataset: &PreparedDataset, query: &Query, k: usiz
             "{label}: rank {i} reports a wrong score"
         );
     }
+    report
 }
 
 #[test]
@@ -90,6 +109,89 @@ fn alternative_aggregations() {
         8,
         "weighted-agg",
     );
+}
+
+/// Cyclic queries, whose cycle-closing join steps probe cover windows:
+/// the union of per-edge windows (sums) or their intersection (min),
+/// under every aggregation — including a zero-weight edge, which can never
+/// carry a cover — on both fixed backends, sequential and with two task
+/// and chunk workers (small probe chunks, so wave chunks prune against
+/// the shared bound).
+#[test]
+fn cyclic_queries_under_every_aggregation() {
+    let p = PredicateParams::P2;
+    let edge = |src, dst, predicate| QueryEdge { src, dst, predicate };
+    let sfm = |agg: Aggregation| {
+        let mut q = table1::q_sfm(p);
+        q.aggregation = agg;
+        q
+    };
+    // x3 closes three edges at once: its step anchors on (x0, x3) and
+    // checks (x1, x3) and (x2, x3).
+    let four = |agg: Aggregation| {
+        Query::new(
+            (0..4).map(CollectionId).collect(),
+            vec![
+                edge(0, 1, TemporalPredicate::starts(p)),
+                edge(1, 2, TemporalPredicate::finished_by(p)),
+                edge(0, 3, TemporalPredicate::meets(p)),
+                edge(1, 3, TemporalPredicate::overlaps(p)),
+                edge(2, 3, TemporalPredicate::overlaps(p)),
+            ],
+            agg,
+        )
+        .unwrap()
+    };
+    let last = four(Aggregation::NormalizedSum).plan().steps.pop().unwrap();
+    assert_eq!((last.vertex, last.checks.len()), (3, 2), "x3 closes two cycles");
+    let cases = [
+        ("sfm/sum", sfm(Aggregation::NormalizedSum), 3u32),
+        ("sfm/min", sfm(Aggregation::Min), 3),
+        ("sfm/weighted", sfm(Aggregation::WeightedSum(vec![2.0, 1.0, 1.0])), 3),
+        ("sfm/zero-weight-anchor", sfm(Aggregation::WeightedSum(vec![1.0, 0.0, 2.0])), 3),
+        ("4way/sum", four(Aggregation::NormalizedSum), 4),
+        ("4way/min", four(Aggregation::Min), 4),
+        ("4way/weighted", four(Aggregation::WeightedSum(vec![1.0, 0.0, 3.0, 1.0, 2.0])), 4),
+    ];
+    let mut engines = Vec::new();
+    for backend in [LocalJoinBackend::Sweep, LocalJoinBackend::RTree] {
+        for threads in [1usize, 2] {
+            let engine = Tkij::with_cluster(
+                TkijConfig::default()
+                    .with_granules(5)
+                    .with_reducers(3)
+                    .with_local_backend(backend)
+                    .with_probe_chunk_items(4),
+                ClusterConfig {
+                    worker_threads: threads,
+                    intra_join_threads: threads,
+                    ..Default::default()
+                },
+            );
+            engines.push((format!("{}/threads{threads}", backend.name()), engine));
+        }
+    }
+    for (n, size) in [(3u32, 40usize), (4, 24)] {
+        // Dense enough that the 4th score is positive, so a full heap
+        // makes the covers bite.
+        let cfg = SyntheticConfig { size, start_range: (0, 200), length_range: (1, 100), seed: 29 };
+        let collections: Vec<IntervalCollection> =
+            (0..n).map(|c| uniform_collection(CollectionId(c), &cfg)).collect();
+        let datasets: Vec<PreparedDataset> =
+            engines.iter().map(|(_, e)| e.prepare(collections.clone()).unwrap()).collect();
+        for (name, q, _) in cases.iter().filter(|c| c.2 == n) {
+            for k in [4usize, 30] {
+                let expected = oracle(&datasets[0], q, k);
+                for ((config, engine), dataset) in engines.iter().zip(&datasets) {
+                    let label = format!("{name}/{config}/k{k}");
+                    let report = assert_matches(engine, dataset, q, k, &expected, &label);
+                    if k == 4 {
+                        assert!(report.results[k - 1].score > 0.0, "{label}: τ stays at 0");
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[test]
