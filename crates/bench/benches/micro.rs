@@ -117,10 +117,28 @@ fn synthetic_combos(count: usize) -> ComboSet {
     set
 }
 
+/// The Qb,b shape: most combinations certainly score 1.0 (lb == ub ==
+/// 1.0), so kthResLB = 1.0 ties with most upper bounds and the selection
+/// ends in the tail of tied combinations.
+fn tied_combos(count: usize) -> ComboSet {
+    let mut set = ComboSet::new(3);
+    for i in 0..count {
+        let b =
+            |shift: usize| BucketId::new(((i >> shift) % 90) as u32, ((i >> shift) % 90) as u32);
+        let lb = if i % 8 == 0 { (i % 7) as f64 / 8.0 } else { 1.0 };
+        set.push(&[b(0), b(7), b(14)], (i % 31 + 1) as u64, lb, 1.0);
+    }
+    set
+}
+
 fn bench_topbuckets(c: &mut Criterion) {
     let set = synthetic_combos(50_000);
     c.bench_function("topbuckets/get_top_buckets_50k", |b| {
         b.iter(|| get_top_buckets(black_box(1000), &set).len())
+    });
+    let tied = tied_combos(700_000);
+    c.bench_function("topbuckets/get_top_buckets_700k_tied", |b| {
+        b.iter(|| get_top_buckets(black_box(100), &tied).len())
     });
 }
 

@@ -5,6 +5,7 @@
 //! be large (`O(g^{2n})`), so combinations are stored in a compact
 //! struct-of-arrays [`ComboSet`] and manipulated through index vectors.
 
+use std::cmp::{Ordering, Reverse};
 use std::time::Duration;
 use tkij_temporal::bucket::{BucketId, BucketMatrix};
 use tkij_temporal::query::Query;
@@ -55,7 +56,19 @@ pub struct ComboSet {
 impl ComboSet {
     /// An empty set for `n`-vertex combinations.
     pub fn new(n: usize) -> Self {
-        ComboSet { n, buckets: Vec::new(), nb_res: Vec::new(), lb: Vec::new(), ub: Vec::new() }
+        ComboSet::with_capacity(n, 0)
+    }
+
+    /// An empty set for `n`-vertex combinations with room for `len` of
+    /// them, so filling it never reallocates.
+    pub fn with_capacity(n: usize, len: usize) -> Self {
+        ComboSet {
+            n,
+            buckets: Vec::with_capacity(n * len),
+            nb_res: Vec::with_capacity(len),
+            lb: Vec::with_capacity(len),
+            ub: Vec::with_capacity(len),
+        }
     }
 
     /// Appends a combination; returns its index.
@@ -122,7 +135,7 @@ impl ComboSet {
     /// A new set holding the given combinations, in the order of
     /// `indices`.
     pub fn subset(&self, indices: &[u32]) -> ComboSet {
-        let mut out = ComboSet::new(self.n);
+        let mut out = ComboSet::with_capacity(self.n, indices.len());
         for &i in indices {
             let i = i as usize;
             out.push(self.buckets(i), self.nb_res[i], self.lb[i], self.ub[i]);
@@ -139,31 +152,32 @@ impl ComboSet {
         self.ub.extend_from_slice(&other.ub);
     }
 
-    /// Indices `0..len` sorted by descending upper bound, ties broken by
-    /// descending lower bound then ascending buckets (fully
-    /// deterministic).
-    pub fn indices_by_ub_desc(&self) -> Vec<u32> {
-        let mut idx: Vec<u32> = (0..self.len() as u32).collect();
-        idx.sort_by(|&a, &b| {
-            let (a, b) = (a as usize, b as usize);
-            self.ub[b]
-                .total_cmp(&self.ub[a])
-                .then_with(|| self.lb[b].total_cmp(&self.lb[a]))
-                .then_with(|| self.buckets(a).cmp(self.buckets(b)))
-        });
-        idx
+    /// Combination `i`'s rank in Algorithm 1's access order: greater
+    /// ranks come first. Descending upper bound, then descending lower
+    /// bound (both in `f64::total_cmp` order), then ascending buckets,
+    /// then ascending index — a strict total order.
+    #[inline]
+    pub(crate) fn ub_rank(&self, i: usize) -> UbRank<'_> {
+        (total_key(self.ub[i]), total_key(self.lb[i]), Reverse(self.buckets(i)), Reverse(i))
     }
 
-    /// Indices sorted by descending lower bound (Algorithm 1, line 1).
-    pub fn indices_by_lb_desc(&self) -> Vec<u32> {
+    /// Orders two combinations by Algorithm 1's access order:
+    /// `Ordering::Less` when `a` comes first. The same order as
+    /// [`ComboSet::ub_rank`], compared lazily.
+    #[inline]
+    pub(crate) fn ub_order(&self, a: usize, b: usize) -> Ordering {
+        (self.ub[b].total_cmp(&self.ub[a]))
+            .then_with(|| self.lb[b].total_cmp(&self.lb[a]))
+            .then_with(|| self.buckets(a).cmp(self.buckets(b)))
+            .then(a.cmp(&b))
+    }
+
+    /// Indices `0..len` sorted by descending upper bound, ties broken by
+    /// descending lower bound, then ascending buckets, then ascending
+    /// index (fully deterministic).
+    pub fn indices_by_ub_desc(&self) -> Vec<u32> {
         let mut idx: Vec<u32> = (0..self.len() as u32).collect();
-        idx.sort_by(|&a, &b| {
-            let (a, b) = (a as usize, b as usize);
-            self.lb[b]
-                .total_cmp(&self.lb[a])
-                .then_with(|| self.ub[b].total_cmp(&self.ub[a]))
-                .then_with(|| self.buckets(a).cmp(self.buckets(b)))
-        });
+        idx.sort_unstable_by(|&a, &b| self.ub_order(a as usize, b as usize));
         idx
     }
 
@@ -176,6 +190,19 @@ impl ComboSet {
         });
         idx
     }
+}
+
+/// The key [`ComboSet::ub_rank`] returns.
+pub(crate) type UbRank<'a> = (i64, i64, Reverse<&'a [BucketId]>, Reverse<usize>);
+
+/// `x`'s position in `f64::total_cmp` order as an integer: `total_key(a)
+/// < total_key(b)` exactly when `a.total_cmp(&b)` is `Less`.
+#[inline]
+pub(crate) fn total_key(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    // Negative floats order in reverse of their bit patterns: flip every
+    // bit but the sign (the same transform `f64::total_cmp` applies).
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
 /// Enumerates the cartesian product of per-vertex bucket choices,
@@ -299,12 +326,52 @@ mod tests {
         assert_eq!(set.buckets(1), &b2);
         assert_eq!(set.total_results(), 15);
         assert_eq!(set.indices_by_ub_desc(), vec![0, 1]);
-        assert_eq!(set.indices_by_lb_desc(), vec![1, 0]);
         assert_eq!(set.indices_by_nbres_desc(), vec![0, 1]);
         let sub = set.subset(&[1]);
         assert_eq!(sub.len(), 1);
         assert_eq!(sub.buckets(0), &b2);
         assert_eq!(sub.nb_res(0), 5);
+    }
+
+    #[test]
+    fn total_key_matches_total_cmp() {
+        let values = [
+            f64::NEG_INFINITY,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            0.5,
+            1.0,
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        for a in values {
+            for b in values {
+                assert_eq!(total_key(a).cmp(&total_key(b)), a.total_cmp(&b), "{a} vs {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn ub_order_breaks_full_ties_by_index_and_matches_ub_rank() {
+        let mut set = ComboSet::new(1);
+        let b = [BucketId::new(0, 0)];
+        set.push(&b, 1, 0.5, 0.5);
+        set.push(&[BucketId::new(0, 1)], 1, 0.5, 0.5);
+        set.push(&b, 1, 0.5, 0.5);
+        set.push(&b, 1, 0.6, 0.5);
+        set.push(&b, 1, -0.0, 0.0);
+        set.push(&b, 1, 0.0, -0.0);
+        set.push(&b, 1, 0.0, 0.0);
+        assert_eq!(set.indices_by_ub_desc(), vec![3, 0, 2, 1, 6, 4, 5]);
+        for a in 0..set.len() {
+            for b in 0..set.len() {
+                assert_eq!(set.ub_order(a, b), set.ub_rank(b).cmp(&set.ub_rank(a)), "{a} vs {b}");
+            }
+        }
     }
 
     #[test]

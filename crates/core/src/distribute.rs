@@ -93,7 +93,9 @@ pub fn distribute(
     // tkij-lint: allow(DET002) -- feeds only Assignment::duration, a timing artifact
     let started = Instant::now();
     let order = match policy {
-        // Alg. 3 line 1: descending score upper-bound.
+        // Alg. 3 line 1: descending score upper-bound. `run_topbuckets`
+        // already returns its selection in this order, and the sort
+        // detects a sorted input in one pass.
         DistributionPolicy::Dtb => combos.indices_by_ub_desc(),
         // LPT: descending number of results.
         DistributionPolicy::Lpt => combos.indices_by_nbres_desc(),
@@ -104,24 +106,25 @@ pub fn distribute(
     let mut combo_reducer = vec![0u32; combos.len()];
     let mut reducer_combos: Vec<Vec<u32>> = vec![Vec::new(); r];
     let mut reducer_results: Vec<u128> = vec![0; r];
-    let mut assigned: BTreeMap<VertexBucket, Vec<u32>> = BTreeMap::new();
+    let mut holdings = Holdings::new(r, query, matrices);
     let mut assignments_scored = 0u64;
     let mut cap_fallbacks = 0u64;
-    let bucket_count =
-        |v: usize, b: BucketId| -> u64 { matrices[query.vertices[v].0 as usize].count(b) };
+    let mut combo_entries: Vec<Entry> = Vec::with_capacity(combos.arity());
 
     for &ci in &order {
         let ci = ci as usize;
-        let buckets = combos.buckets(ci);
+        combo_entries.clear();
+        for (v, &b) in combos.buckets(ci).iter().enumerate() {
+            combo_entries.push(holdings.entry(v, b));
+        }
         let rj = match policy {
             DistributionPolicy::Dtb => {
                 let pick = get_reducer(
-                    buckets,
+                    &combo_entries,
+                    &holdings,
                     avg_res,
                     &reducer_combos,
                     &reducer_results,
-                    &assigned,
-                    &bucket_count,
                 );
                 assignments_scored += pick.scored;
                 cap_fallbacks += pick.fell_back as u64;
@@ -136,26 +139,23 @@ pub fn distribute(
         combo_reducer[ci] = rj as u32;
         reducer_combos[rj].push(ci as u32);
         reducer_results[rj] += combos.nb_res(ci) as u128;
-        for (v, &b) in buckets.iter().enumerate() {
-            let entry = assigned.entry((v as u16, b)).or_default();
-            if !entry.contains(&(rj as u32)) {
-                entry.push(rj as u32);
-            }
+        for entry in &combo_entries {
+            holdings.insert(entry.row, rj);
         }
     }
 
     // Shipment statistics.
     let mut shuffle = 0u64;
     let mut distinct = 0u64;
-    for (&(v, b), reducers) in &assigned {
-        let c = bucket_count(v as usize, b);
-        shuffle += c * reducers.len() as u64;
-        distinct += c;
-    }
-    let mut bucket_map = assigned;
-    for v in bucket_map.values_mut() {
-        v.sort_unstable();
-    }
+    let bucket_map = (holdings.keys.iter().enumerate())
+        .map(|(row, &key)| {
+            let reducers = holdings.reducers(row);
+            let c = holdings.counts[row];
+            shuffle += c * reducers.len() as u64;
+            distinct += c;
+            (key, reducers)
+        })
+        .collect();
     Assignment {
         num_reducers: r,
         combo_reducer,
@@ -167,6 +167,95 @@ pub fn distribute(
         assignments_scored,
         cap_fallbacks,
         duration: started.elapsed(),
+    }
+}
+
+/// One (vertex, bucket) of the combination being placed: its row in
+/// [`Holdings`] and its cardinality `|b|`.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    row: usize,
+    count: u64,
+}
+
+/// The shipment map under construction: a row per (vertex, bucket) some
+/// assigned combination needs, holding `|b|` and, as a fixed-width
+/// bitset, the reducers the bucket already ships to. Rows are found
+/// through a dense slot per cell of each vertex's `g × g` bucket matrix:
+/// 4 bytes per cell, where the matrix itself already stores 8 per cell.
+struct Holdings<'a> {
+    /// Per vertex: its bucket matrix and the first slot of its cells.
+    vertices: Vec<(&'a BucketMatrix, usize)>,
+    /// Row + 1 of each (vertex, bucket) slot; 0 while it has no row.
+    slots: Vec<u32>,
+    keys: Vec<VertexBucket>,
+    counts: Vec<u64>,
+    /// u64 words per row's bitset.
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl<'a> Holdings<'a> {
+    fn new(r: usize, query: &Query, matrices: &'a [BucketMatrix]) -> Self {
+        let mut cells = 0;
+        let vertices = (query.vertices.iter())
+            .map(|c| {
+                let matrix = &matrices[c.0 as usize];
+                let first = cells;
+                cells += matrix.g() as usize * matrix.g() as usize;
+                (matrix, first)
+            })
+            .collect();
+        Holdings {
+            vertices,
+            slots: vec![0; cells],
+            keys: Vec::new(),
+            counts: Vec::new(),
+            words: r.div_ceil(64),
+            bits: Vec::new(),
+        }
+    }
+
+    /// The row of bucket `b` of vertex `v`, added (with its cardinality
+    /// and no reducers) on first use.
+    fn entry(&mut self, v: usize, b: BucketId) -> Entry {
+        let (matrix, first) = self.vertices[v];
+        let slot = first + b.start_g as usize * matrix.g() as usize + b.end_g as usize;
+        let row = match self.slots[slot] {
+            0 => {
+                let row = self.keys.len();
+                self.slots[slot] = row as u32 + 1;
+                self.keys.push((v as u16, b));
+                self.counts.push(matrix.count(b));
+                self.bits.resize(self.bits.len() + self.words, 0);
+                row
+            }
+            plus_one => plus_one as usize - 1,
+        };
+        Entry { row, count: self.counts[row] }
+    }
+
+    /// Whether reducer `j` already holds the bucket of `row`.
+    #[inline]
+    fn holds(&self, row: usize, j: usize) -> bool {
+        self.bits[row * self.words + j / 64] >> (j % 64) & 1 == 1
+    }
+
+    fn insert(&mut self, row: usize, j: usize) {
+        self.bits[row * self.words + j / 64] |= 1 << (j % 64);
+    }
+
+    /// The reducers holding the bucket of `row`, ascending.
+    fn reducers(&self, row: usize) -> Vec<u32> {
+        let mut out = Vec::new();
+        for (w, &word) in self.bits[row * self.words..(row + 1) * self.words].iter().enumerate() {
+            let mut rest = word;
+            while rest != 0 {
+                out.push((w * 64) as u32 + rest.trailing_zeros());
+                rest &= rest - 1;
+            }
+        }
+        out
     }
 }
 
@@ -183,15 +272,15 @@ struct ReducerPick {
 
 /// Algorithm 4 (`getReducer`): among reducers under the `2 × avgRes`
 /// worst-case cap, pick those with the fewest assigned combinations, then
-/// minimize the new-input cost; ties break on the lowest index. Falls
-/// back to the least-loaded reducer if the cap excludes everyone.
+/// minimize the new-input cost of the combination's `entries`; ties break
+/// on the lowest index. Falls back to the least-loaded reducer if the cap
+/// excludes everyone.
 fn get_reducer(
-    buckets: &[BucketId],
+    entries: &[Entry],
+    holdings: &Holdings,
     avg_res: f64,
     reducer_combos: &[Vec<u32>],
     reducer_results: &[u128],
-    assigned: &BTreeMap<VertexBucket, Vec<u32>>,
-    bucket_count: &dyn Fn(usize, BucketId) -> u64,
 ) -> ReducerPick {
     let r = reducer_combos.len();
     let eligible =
@@ -212,13 +301,7 @@ fn get_reducer(
             continue;
         }
         scored += 1;
-        let mut cost = 0u64;
-        for (v, &b) in buckets.iter().enumerate() {
-            let already = assigned.get(&(v as u16, b)).is_some_and(|rs| rs.contains(&(j as u32)));
-            if !already {
-                cost += bucket_count(v, b);
-            }
-        }
+        let cost: u64 = entries.iter().filter(|e| !holdings.holds(e.row, j)).map(|e| e.count).sum();
         if cost < best_cost {
             best_cost = cost;
             best = j;
@@ -325,19 +408,26 @@ mod tests {
 
     #[test]
     fn dtb_prefers_overlapping_reducer() {
-        // 3 combos: A = (b0, b1), B = (b2, b3), C = (b0, b1) again.
+        // 3 combos: A = (b0, b1), B = (b2, b3), C = a copy of A or of B.
         // With 2 reducers: A → r0, B → r1 (fewest combos), C ties on
-        // |Ω_rj| = 1 and must co-locate with A (zero new input) on r0.
+        // |Ω_rj| = 1 and must co-locate with its twin (zero new input),
+        // whichever reducer index that is.
         let (q, m) = setup(2, 8);
-        let mut set = ComboSet::new(2);
-        set.push(&[BucketId::new(0, 0), BucketId::new(1, 1)], 4, 0.0, 0.9);
-        set.push(&[BucketId::new(2, 2), BucketId::new(3, 3)], 4, 0.0, 0.8);
-        set.push(&[BucketId::new(0, 0), BucketId::new(1, 1)], 4, 0.0, 0.7);
-        let a = distribute(&set, Dtb, 2, &q, &m);
-        assert_eq!(a.combo_reducer[0], a.combo_reducer[2], "C co-locates with A");
-        assert_ne!(a.combo_reducer[0], a.combo_reducer[1]);
-        // No replication happened: each bucket lives on exactly 1 reducer.
-        assert!((a.replication_factor - 1.0).abs() < 1e-12);
+        let (a_buckets, b_buckets) = (
+            [BucketId::new(0, 0), BucketId::new(1, 1)],
+            [BucketId::new(2, 2), BucketId::new(3, 3)],
+        );
+        for (twin, c_buckets) in [(0, a_buckets), (1, b_buckets)] {
+            let mut set = ComboSet::new(2);
+            set.push(&a_buckets, 4, 0.0, 0.9);
+            set.push(&b_buckets, 4, 0.0, 0.8);
+            set.push(&c_buckets, 4, 0.0, 0.7);
+            let a = distribute(&set, Dtb, 2, &q, &m);
+            assert_eq!(a.combo_reducer[twin], a.combo_reducer[2], "C co-locates with its twin");
+            assert_ne!(a.combo_reducer[0], a.combo_reducer[1]);
+            // No replication happened: each bucket lives on exactly 1 reducer.
+            assert!((a.replication_factor - 1.0).abs() < 1e-12);
+        }
     }
 
     #[test]
@@ -412,22 +502,56 @@ mod tests {
         // gates as a constant 0 — but the defensive path itself must
         // still decide correctly. Exercise it directly with a doctored
         // load vector where every reducer is past the cap.
-        let (_, m) = setup(2, 8);
-        let bucket_count = |v: usize, b: BucketId| -> u64 {
-            let _ = v;
-            m[0].count(b)
-        };
+        let (q, m) = setup(2, 8);
+        let mut holdings = Holdings::new(2, &q, &m);
+        let entries: Vec<Entry> = [BucketId::new(0, 0), BucketId::new(1, 1)]
+            .iter()
+            .enumerate()
+            .map(|(v, &b)| holdings.entry(v, b))
+            .collect();
         let pick = get_reducer(
-            &[BucketId::new(0, 0), BucketId::new(1, 1)],
+            &entries,
+            &holdings,
             1.0, // avg 1 → cap 2; both reducers are far past it
             &[vec![0], vec![1]],
             &[100, 50],
-            &BTreeMap::new(),
-            &bucket_count,
         );
         assert!(pick.fell_back);
         assert_eq!(pick.reducer, 1, "least-loaded fallback");
         assert_eq!(pick.scored, 2, "fallback scans every reducer");
+    }
+
+    #[test]
+    fn dtb_assignment_ignores_input_order() {
+        // `run_topbuckets` hands DTB its selection already in UB order;
+        // `distribute` is public, so any other order is sorted first, and a
+        // shuffled copy gets the same assignment, mapped back by buckets.
+        let (q, m) = setup(3, 12);
+        let (sorted, _) = crate::topbuckets::run_topbuckets(
+            &q,
+            &m,
+            40,
+            crate::config::Strategy::Loose,
+            &tkij_solver::SolverConfig::default(),
+            1,
+        );
+        assert!(sorted.len() > 10);
+        let mut permutation: Vec<u32> = (0..sorted.len() as u32).rev().collect();
+        permutation.rotate_left(sorted.len() / 3);
+        let shuffled = sorted.subset(&permutation);
+        let a = distribute(&sorted, Dtb, 4, &q, &m);
+        let b = distribute(&shuffled, Dtb, 4, &q, &m);
+        let by_buckets = |set: &ComboSet, a: &Assignment| {
+            let per_reducer: Vec<Vec<Vec<BucketId>>> = a
+                .reducer_combos
+                .iter()
+                .map(|list| list.iter().map(|&ci| set.buckets(ci as usize).to_vec()).collect())
+                .collect();
+            (per_reducer, a.reducer_results.clone(), a.bucket_map.clone())
+        };
+        assert_eq!(by_buckets(&sorted, &a), by_buckets(&shuffled, &b));
+        assert_eq!(a.assignments_scored, b.assignments_scored);
+        assert_eq!(a.estimated_shuffle_records, b.estimated_shuffle_records);
     }
 
     #[test]
